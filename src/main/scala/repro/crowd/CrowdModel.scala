@@ -1,7 +1,6 @@
 package repro.crowd
 
 import repro.indoor.{CrowdType, IndoorSpace}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Identifies one directed crowd-model edge e(v_i, v_j, d_k). */
@@ -25,8 +24,12 @@ final case class EdgeKey(from: Int, to: Int, door: Int)
   *                    `n` with period `n·TI`)
   * @param historyNet  per-partition recent samples of (inflow − outflow) per
   *                    update interval, newest last — `UT_past` of Strategy NT
+  * @param gridOffset  shift of this model's grid origin relative to the
+  *                    doors' aligned report phase — nonzero for
+  *                    re-synchronized models (adaptive baseline), so report
+  *                    timestamps stay globally consistent
   */
-final class CrowdModel(
+final class CrowdModel private (
     val space: IndoorSpace,
     val lambda: Map[EdgeKey, Double],
     val reportEvery: IndexedSeq[Int],
@@ -34,20 +37,27 @@ final class CrowdModel(
     val t0: Double,
     val initialPop: IndexedSeq[Double],
     val historyNet: IndexedSeq[Vector[Double]],
-    val speed: Double = 1.2,
-    val bufferW: Double = 1.0,
-    val beta: Double = 1.0,
-    /** Shift of this model's grid origin relative to the doors' aligned
-      * report phase — nonzero for re-synchronized models (adaptive baseline),
-      * so report timestamps stay globally consistent.
-      */
-    val gridOffset: Int = 0,
+    val speed: Double,
+    val bufferW: Double,
+    val beta: Double,
+    val gridOffset: Int,
+    labels: CrowdModel.EdgeLabels,
 ) extends Serializable {
-  require(reportEvery.size == space.numDoors)
+
+  def this(space: IndoorSpace, lambda: Map[EdgeKey, Double], reportEvery: IndexedSeq[Int], ti: Int, t0: Double,
+      initialPop: IndexedSeq[Double], historyNet: IndexedSeq[Vector[Double]], speed: Double = 1.2,
+      bufferW: Double = 1.0, beta: Double = 1.0, gridOffset: Int = 0) =
+    this(space, lambda, reportEvery, ti, t0, initialPop, historyNet, speed, bufferW, beta, gridOffset,
+      new CrowdModel.EdgeLabels(space, lambda, reportEvery))
+
   require(initialPop.size == space.numPartitions)
   require(historyNet.size == space.numPartitions)
 
-  val edges: Vector[EdgeKey] = space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
+  /** Crowd-model edges, indexed like `space.links`. */
+  val edges: Vector[EdgeKey] = labels.keys
+
+  /** Index of edge `e` in [[edges]]. */
+  def edgeIndex(e: EdgeKey): Int = labels.index(e)
 
   /** t_c ∈ RT(d_k)? — whether door `d` reports at grid step `g`. Step 0 is
     * the aligned initial report of every counter; flows are applied from
@@ -61,11 +71,17 @@ final class CrowdModel(
     */
   def withObservation(observedPop: IndexedSeq[Double], gNow: Int): CrowdModel =
     new CrowdModel(space, lambda, reportEvery, ti, gridTime(gNow), observedPop, historyNet,
-      speed, bufferW, beta, gridOffset + gNow)
+      speed, bufferW, beta, gridOffset + gNow, labels)
 
   /** Expected flow on edge `e` at grid step `g` (0 between reports). */
   def expectedFlow(e: EdgeKey, g: Int): Double =
     if (doorReportsAt(e.door, g)) lambda.getOrElse(e, 0.0) else 0.0
+
+  /** [[expectedFlow]] by edge index `ei` (an index into [[edges]]). */
+  def expectedFlowAt(ei: Int, g: Int): Double = {
+    val p = labels.period(ei)
+    if (p == 1 || (g + gridOffset) % p == 0) labels.lambda(ei) else 0.0
+  }
 
   /** Grid step whose unit interval covers absolute time `t` (≥ t0). */
   def gridStep(t: Double): Int = math.max(0, ((t - t0) / ti).toInt)
@@ -82,13 +98,17 @@ final class CrowdModel(
     * v's doors' report timestamps.
     */
   def updateStepsBetween(v: Int, gFrom: Int, gTo: Int): Int = {
-    val periods = space.allDoors(v).map(reportEvery)
-    ((gFrom + 1) to gTo).count(g => periods.exists(p => g % p == 0))
+    val periods = doorPeriods(v)
+    if (periods.contains(1)) math.max(0, gTo - gFrom)
+    else ((gFrom + 1) to gTo).count(g => periods.exists(g % _ == 0))
   }
 
+  private lazy val doorPeriods: Array[Array[Int]] = space.allDoors.map(_.map(reportEvery).toArray).toArray
+
   /** Mean and std-dev of v's historical flow differences (Strategy NT). */
-  def historyStats(v: Int): (Double, Double) = {
-    val h = historyNet(v)
+  def historyStats(v: Int): (Double, Double) = historyMoments(v)
+
+  private lazy val historyMoments: IndexedSeq[(Double, Double)] = historyNet.map { h =>
     if (h.isEmpty) (0.0, Double.PositiveInfinity)
     else {
       val mu  = h.sum / h.size
@@ -99,6 +119,18 @@ final class CrowdModel(
 }
 
 object CrowdModel {
+
+  /** Per-edge labels in `space.links` order, built once per model and shared
+    * by its re-synchronized copies.
+    */
+  private[crowd] final class EdgeLabels(space: IndoorSpace, lambdaMap: Map[EdgeKey, Double], reportEvery: IndexedSeq[Int])
+      extends Serializable {
+    require(reportEvery.size == space.numDoors)
+    val keys: Vector[EdgeKey]    = space.links.map(l => EdgeKey(l.from, l.to, l.door)).toVector
+    val lambda: Array[Double]    = keys.map(lambdaMap.getOrElse(_, 0.0)).toArray
+    val period: Array[Int]       = space.links.map(l => reportEvery(l.door)).toArray
+    lazy val index: Map[EdgeKey, Int] = keys.iterator.zipWithIndex.toMap
+  }
 
   /** Build a crowd model for a space with paper-style synthetic parameters:
     * λ ~ U(0, 3) with hallway/stair doors drawn hotter than room doors,
@@ -148,48 +180,65 @@ object CrowdModel {
   * metric. One instance per query run; the underlying [[CrowdModel]] is
   * immutable and shared.
   *
-  * Storage is `LongMap`-backed with packed (id, step) keys — this state is
-  * the hot path of every estimator, so boxing-free lookups matter.
+  * Storage is step-major: one dense row per grid step — flows indexed like
+  * `model.edges`, populations by partition — allocated the first time the
+  * step is touched, with NaN meaning "not derived". Estimators and the
+  * simulator run the [[repro.estimator.Rectification]] kernel directly on
+  * these rows and count what they derive in [[popDerivations]] /
+  * [[flowDerivations]].
   */
 final class ModelState(val model: CrowdModel) {
-  private val edgeIdx: Map[EdgeKey, Int] =
-    model.edges.iterator.zipWithIndex.toMap
-  /** Packed key: id in the high bits, grid step (< 2^20) in the low. */
-  @inline private def key(id: Int, g: Int): Long = (id.toLong << 20) | g.toLong
-
-  /** F[e][g]: rectified flow of edge e at grid step g. */
-  private val flowMap = mutable.LongMap.empty[Double]
-  /** P[v][g]: population of partition v over grid interval g. */
-  private val popMap = mutable.LongMap.empty[Double]
-  /** Guard: partition v's outflows at step g are set and rectified. */
-  private val outDoneSet = mutable.LongMap.empty[Boolean]
+  private val flowRows    = new ModelState.Timeline(() => ModelState.nanRow(model.edges.size))
+  private val popRows     = new ModelState.Timeline(() => ModelState.nanRow(model.space.numPartitions))
+  private val outDoneRows = new ModelState.Timeline(() => new Array[Boolean](model.space.numPartitions))
 
   var popDerivations: Long  = 0
   var flowDerivations: Long = 0
 
-  def edgeIndex(e: EdgeKey): Int = edgeIdx(e)
+  /** F[·][g]: the rectified flows of every edge at grid step g. */
+  def flowRow(g: Int): Array[Double] = flowRows(g)
 
-  def hasFlow(ei: Int, g: Int): Boolean       = flowMap.contains(key(ei, g))
-  def getFlowRaw(ei: Int, g: Int): Double     = flowMap(key(ei, g))
-  def putFlowRaw(ei: Int, g: Int, value: Double): Unit = {
-    flowMap(key(ei, g)) = value
+  /** P[·][g]: the population of every partition over grid interval g. */
+  def popRow(g: Int): Array[Double] = popRows(g)
+
+  def getFlow(e: EdgeKey, g: Int): Option[Double] = Some(flowRows(g)(model.edgeIndex(e))).filterNot(_.isNaN)
+  def putFlow(e: EdgeKey, g: Int, value: Double): Unit = {
+    flowRows(g)(model.edgeIndex(e)) = value
     flowDerivations += 1
   }
-  def getFlow(e: EdgeKey, g: Int): Option[Double] = flowMap.get(key(edgeIdx(e), g))
-  def putFlow(e: EdgeKey, g: Int, value: Double): Unit = putFlowRaw(edgeIdx(e), g, value)
 
-  def hasPop(v: Int, g: Int): Boolean   = popMap.contains(key(v, g))
-  def getPopRaw(v: Int, g: Int): Double = popMap(key(v, g))
-  def getPop(v: Int, g: Int): Option[Double] = popMap.get(key(v, g))
+  def getPop(v: Int, g: Int): Option[Double] = Some(popRows(g)(v)).filterNot(_.isNaN)
   def putPop(v: Int, g: Int, value: Double): Unit = {
-    popMap(key(v, g)) = value
+    popRows(g)(v) = value
     popDerivations += 1
   }
 
   /** Marks (v, g) outflow-rectified; returns true on first marking. */
   def markOutDone(v: Int, g: Int): Boolean = {
-    val k = key(v, g)
-    if (outDoneSet.contains(k)) false
-    else { outDoneSet(k) = true; true }
+    val row = outDoneRows(g)
+    !row(v) && { row(v) = true; true }
+  }
+}
+
+object ModelState {
+
+  /** Rows indexed by grid step, each allocated on first access. Stored as
+    * `AnyRef` so row lookups are plain array loads, not generic-array calls.
+    */
+  private final class Timeline[R <: AnyRef](fresh: () => R) {
+    private var rows = new Array[AnyRef](64)
+
+    def apply(g: Int): R = {
+      if (g >= rows.length) rows = java.util.Arrays.copyOf(rows, math.max(g + 1, 2 * rows.length))
+      var row = rows(g)
+      if (row == null) { row = fresh(); rows(g) = row }
+      row.asInstanceOf[R]
+    }
+  }
+
+  private def nanRow(n: Int): Array[Double] = {
+    val row = new Array[Double](n)
+    java.util.Arrays.fill(row, Double.NaN)
+    row
   }
 }

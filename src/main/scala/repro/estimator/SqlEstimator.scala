@@ -90,20 +90,13 @@ object SqlEstimator {
       |FROM flows f JOIN scale s ON CAST(f.src AS INT) = CAST(s.pid AS INT)
       |""".stripMargin
 
-  /** DuckDB SQL equivalent of the new populations of [[step]]. */
+  /** DuckDB SQL equivalent of the new populations of [[step]]: Eq. 6 over
+    * the flows of [[rectifySql]].
+    */
   val newPopSql: String =
-    """
-      |WITH outsum AS (
-      |  SELECT src AS osrc, SUM(CAST(flow AS DOUBLE)) AS out_sum FROM flows GROUP BY src
-      |), scale AS (
-      |  SELECT p.pid,
-      |         CASE WHEN COALESCE(o.out_sum, 0) > CAST(p.pop AS DOUBLE) AND o.out_sum > 0
-      |              THEN CAST(p.pop AS DOUBLE) / o.out_sum ELSE 1.0 END AS scale
-      |  FROM pops p LEFT JOIN outsum o ON CAST(p.pid AS INT) = CAST(o.osrc AS INT)
-      |), rect AS (
-      |  SELECT f.src, f.dst, CAST(f.flow AS DOUBLE) * s.scale AS flow
-      |  FROM flows f JOIN scale s ON CAST(f.src AS INT) = CAST(s.pid AS INT)
-      |), outs AS (SELECT src, SUM(flow) AS outflow FROM rect GROUP BY src),
+    s"""
+      |WITH rect AS ($rectifySql),
+      |   outs AS (SELECT src, SUM(flow) AS outflow FROM rect GROUP BY src),
       |   ins  AS (SELECT dst, SUM(flow) AS inflow  FROM rect GROUP BY dst)
       |SELECT p.pid AS pid,
       |       GREATEST(0.0, CAST(p.pop AS DOUBLE) - COALESCE(o.outflow, 0) + COALESCE(i.inflow, 0)) AS pop

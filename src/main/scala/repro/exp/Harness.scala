@@ -77,7 +77,9 @@ object Harness {
     Search.run(new SimOracleEstimator(new ModelState(model), sim), q.ps, q.pt, tq, qt, maxGrid)
 
   /** Evaluate one variant over a set of instances: `reps` timed repetitions
-    * per instance (paper: 10), accuracy from the first repetition.
+    * per instance (paper: 10), accuracy from the first repetition, scored
+    * against `golds` — each instance's [[gold]] result for `qt`, searched
+    * once by the caller and shared by every variant it evaluates.
     */
   def evaluate(
       model: CrowdModel,
@@ -85,6 +87,7 @@ object Harness {
       variant: Variant,
       qt: QueryType,
       queries: Seq[Instances.Query],
+      golds: Seq[Search.Result],
       tq: Double = 0.0,
       maxGrid: Int = 720,
       reps: Int = 3,
@@ -96,8 +99,7 @@ object Harness {
     var errCnt  = 0
     // JIT warmup: one untimed run (the paper averages 10 warm repetitions)
     runOnce(model, sim, variant, queries.head, tq, qt, maxGrid)
-    for (q <- queries) {
-      val goldRes = gold(model, sim, q, tq, qt, maxGrid)
+    for ((q, goldRes) <- queries.zip(golds)) {
       var res: Search.Result = null
       for (_ <- 0 until reps) {
         res = runOnce(model, sim, variant, q, tq, qt, maxGrid)

@@ -42,11 +42,12 @@ object TableRunner {
   private def evaluateAll(model: CrowdModel, sim: CrowdSim, queries: Seq[Instances.Query], opts: Opts): Seq[(String, Harness.Metrics)] =
     for {
       (qt, prefix) <- Seq((QueryType.FPQ, "FPQ"), (QueryType.LCPQ, "LCPQ"))
+      golds         = queries.map(q => Harness.gold(model, sim, q, model.t0, qt, opts.maxGrid))
       variant      <- Variant.all
     } yield {
       val label = prefix + variant.label
       System.gc() // stabilize timings: don't charge one variant with another's garbage
-      val m = Harness.evaluate(model, sim, variant, qt, queries,
+      val m = Harness.evaluate(model, sim, variant, qt, queries, golds,
         tq = model.t0, maxGrid = opts.maxGrid, reps = opts.reps)
       Console.err.println(f"[bench] $label%-10s time=${m.timeMs}%9.1f ms  mem=${m.memKB}%9.1f KB  hit=${m.hitRate}%5.1f%%  err=${m.relErr}%.4g")
       label -> m

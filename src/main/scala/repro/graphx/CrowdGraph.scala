@@ -2,7 +2,7 @@ package repro.graphx
 
 import org.apache.spark.graphx.{Edge, Graph, VertexId}
 import org.apache.spark.sql.SparkSession
-import repro.crowd.{CrowdModel, EdgeKey}
+import repro.crowd.CrowdModel
 import repro.indoor.CrowdType
 
 /** GraphX materialization of the indoor crowd model G(V, E, L_V, L_E):
@@ -38,7 +38,4 @@ object CrowdGraph {
     )
     Graph(vertices, edges)
   }
-
-  /** Edge keys in model order — convenience for tests comparing flows. */
-  def edgeKeys(model: CrowdModel): Vector[EdgeKey] = model.edges
 }

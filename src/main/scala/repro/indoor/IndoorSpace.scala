@@ -108,6 +108,20 @@ final class IndoorSpace(
     a.toIndexedSeq
   }
 
+  /** Source partition of each link, indexed like [[links]]. */
+  val linkFrom: Array[Int] = links.map(_.from).toArray
+
+  /** CSR form of [[outLinks]] as link indices: the out-edges of v are
+    * `outEdge(outStart(v) until outStart(v + 1))`, in [[outLinks]] order
+    * (the sort is stable).
+    */
+  val outStart: Array[Int] = outLinks.scanLeft(0)(_ + _.size).toArray
+  val outEdge: Array[Int]  = links.indices.sortBy(links(_).from).toArray
+
+  /** CSR form of [[inLinks]], laid out like [[outStart]]/[[outEdge]]. */
+  val inStart: Array[Int] = inLinks.scanLeft(0)(_ + _.size).toArray
+  val inEdge: Array[Int]  = links.indices.sortBy(links(_).to).toArray
+
   /** Intra-partition walking distance between two doors of partition v
     * (entry `M_d2d` of the vertex label). Euclidean unless overridden
     * (stairways).

@@ -1,7 +1,7 @@
 package repro.sim
 
-import repro.crowd.{CrowdModel, DoorFlow, EdgeKey, ModelState}
-import repro.estimator.PopulationEstimator
+import repro.crowd.{CrowdModel, DoorFlow, ModelState}
+import repro.estimator.{PopulationEstimator, Rectification}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -24,43 +24,29 @@ final class CrowdSim(val model: CrowdModel, seed: Long, val deterministic: Boole
   private val popHist = ArrayBuffer[Array[Double]](model.initialPop.toArray)
 
   /** Actual population of partition v over grid interval g. */
-  def populationAt(v: Int, g: Int): Double = {
-    ensure(g)
-    popHist(math.min(g, popHist.size - 1))(v)
-  }
+  def populationAt(v: Int, g: Int): Double = popsAt(g)(v)
 
   /** Snapshot of all actual populations at grid step g. */
-  def snapshot(g: Int): IndexedSeq[Double] = {
-    ensure(g)
-    popHist(math.min(g, popHist.size - 1)).toIndexedSeq
-  }
+  def snapshot(g: Int): IndexedSeq[Double] = popsAt(g).toIndexedSeq
 
   def derivedSteps: Int = popHist.size - 1
 
-  private def ensure(g: Int): Unit = while (popHist.size <= g) stepOnce()
+  private def popsAt(g: Int): Array[Double] = {
+    while (popHist.size <= g) stepOnce()
+    popHist(g)
+  }
 
   private def stepOnce(): Unit = {
-    val g    = popHist.size
-    val prev = popHist(g - 1)
-    val flows = model.edges.map { e =>
-      val f =
-        if (!model.doorReportsAt(e.door, g)) 0.0
-        else if (deterministic) model.lambda.getOrElse(e, 0.0)
-        else DoorFlow.samplePoisson(model.lambda.getOrElse(e, 0.0), rng).toDouble
-      e -> f
-    }.toMap
-    val rectified = scala.collection.mutable.HashMap.empty[EdgeKey, Double]
-    for (v <- 0 until space.numPartitions) {
-      val outs   = space.outLinks(v).map(l => EdgeKey(l.from, l.to, l.door))
-      val outSum = outs.map(flows).sum
-      val scale  = if (outSum > prev(v) && outSum > 0) prev(v) / outSum else 1.0
-      outs.foreach(e => rectified(e) = flows(e) * scale)
+    val g     = popHist.size
+    val flows = new Array[Double](model.edges.size)
+    var ei    = 0
+    while (ei < flows.length) {
+      val lambda = model.expectedFlowAt(ei, g) // 0 between reports: no draw, as for λ = 0
+      flows(ei) = if (deterministic) lambda else DoorFlow.samplePoisson(lambda, rng).toDouble
+      ei += 1
     }
-    val next = Array.tabulate(space.numPartitions) { v =>
-      val out = space.outLinks(v).map(l => rectified(EdgeKey(l.from, l.to, l.door))).sum
-      val in  = space.inLinks(v).map(l => rectified(EdgeKey(l.from, l.to, l.door))).sum
-      math.max(0.0, prev(v) - out + in)
-    }
+    val next = new Array[Double](space.numPartitions)
+    Rectification.step(space, popHist(g - 1), flows, next)
     popHist += next
   }
 }

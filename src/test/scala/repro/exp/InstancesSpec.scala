@@ -62,10 +62,13 @@ class HarnessSpec extends AnyFunSuite {
   private lazy val model   = CrowdModel.synthetic(space, objScale = 900, seed = 13)
   private lazy val queries = Instances.generate(space, 4, 500, seed = 17)
 
+  private def golds(sim: CrowdSim, qt: QueryType, qs: Seq[Instances.Query]) =
+    qs.map(Harness.gold(model, sim, _, 0.0, qt, 720))
+
   test("deterministic world: exact variant scores a 100% hit rate and ~0 error") {
     val sim = new CrowdSim(model, seed = 1, deterministic = true)
     for (qt <- Seq(QueryType.FPQ, QueryType.LCPQ)) {
-      val m = Harness.evaluate(model, sim, Variant.Exact, qt, queries, reps = 1)
+      val m = Harness.evaluate(model, sim, Variant.Exact, qt, queries, golds(sim, qt, queries), reps = 1)
       assert(m.hitRate == 100.0, s"$qt hit=${m.hitRate}")
       assert(m.relErr < 1e-9, s"$qt err=${m.relErr}")
     }
@@ -74,7 +77,7 @@ class HarnessSpec extends AnyFunSuite {
   test("deterministic world: global and PP variants also match gold") {
     val sim = new CrowdSim(model, seed = 1, deterministic = true)
     for (v <- Seq(Variant.Global, Variant.PP)) {
-      val m = Harness.evaluate(model, sim, v, QueryType.FPQ, queries, reps = 1)
+      val m = Harness.evaluate(model, sim, v, QueryType.FPQ, queries, golds(sim, QueryType.FPQ, queries), reps = 1)
       assert(m.hitRate == 100.0, s"$v")
     }
   }
@@ -82,7 +85,8 @@ class HarnessSpec extends AnyFunSuite {
   test("all six variants produce finite metrics") {
     val sim = new CrowdSim(model, seed = 2, deterministic = false)
     Variant.all.foreach { v =>
-      val m = Harness.evaluate(model, sim, v, QueryType.FPQ, queries.take(2), reps = 1)
+      val qs = queries.take(2)
+      val m  = Harness.evaluate(model, sim, v, QueryType.FPQ, qs, golds(sim, QueryType.FPQ, qs), reps = 1)
       assert(m.timeMs >= 0 && m.memKB >= 0 && m.hitRate >= 0 && m.hitRate <= 100 && m.relErr >= 0,
         s"variant $v: $m")
     }
